@@ -18,10 +18,6 @@
 //!                              partitioned across (default 1 = unsharded)
 //!          --partition <s>     temporal (default) | spatial-grid slab
 //!                              orientation for sharded runs
-//!          --routing <s>       slab (default) | broadcast query dispatch
-//!                              for sharded runs
-//!          --slab-mode <s>     uniform (default) | balanced slab edge
-//!                              placement for sharded runs
 //!          --json <path>       machine-readable output path (default
 //!                              BENCH_9.json; "none" disables)
 //!          --sanitizer <m>     off (default) | memcheck | racecheck | full;
@@ -31,8 +27,7 @@
 //! ```
 
 use tdts_bench::{Json, Measurement, RunConfig, Runner};
-use tdts_core::RoutingMode;
-use tdts_geom::{PartitionStrategy, SlabMode};
+use tdts_geom::PartitionStrategy;
 use tdts_gpu_sim::{KernelShape, SanitizerMode};
 
 fn main() {
@@ -86,20 +81,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--routing" => {
-                let v = args.next().expect("--routing needs a value");
-                cfg.routing = RoutingMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--routing must be slab or broadcast, got {v}");
-                    std::process::exit(2);
-                });
-            }
-            "--slab-mode" => {
-                let v = args.next().expect("--slab-mode needs a value");
-                cfg.slab_mode = SlabMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--slab-mode must be uniform or balanced, got {v}");
-                    std::process::exit(2);
-                });
-            }
             "--json" => json_path = args.next().expect("--json needs a path"),
             "--sanitizer" => {
                 let v = args.next().expect("--sanitizer needs a value");
@@ -116,7 +97,7 @@ fn main() {
     if targets.is_empty() {
         eprintln!(
             "usage: figures [--scale f] [--no-verify] [--trials n] [--kernel-shape s] \
-             [--tile-size n] [--shards n] [--partition s] [--routing s] [--slab-mode s] \
+             [--tile-size n] [--shards n] [--partition s] \
              [--json path] [--sanitizer m] \
              <fig4|fig5|fig6|fig7|sweep-fsg|sweep-bins|sweep-subbins|\
              ablation-indirection|ablation-buffer|fallback-rate|future-trends|batched|ablation-sort|crossover|ablation-write|ablation-warp-agg|ablation-workqueue|ablation-columnar|ablation-sharding|ablation-routing|scaling-sharding|ablation-streaming|all>..."
@@ -155,16 +136,11 @@ fn main() {
 
     println!("# tdts figures — scale {:.5} of paper sizes, device: {}", cfg.scale, cfg.device.name);
     if cfg.shards > 1 {
-        println!(
-            "# sharded: {} simulated devices, {} partition, {} routing, {} slabs",
-            cfg.shards, cfg.partition, cfg.routing, cfg.slab_mode
-        );
+        println!("# sharded: {} simulated devices, {} partition", cfg.shards, cfg.partition);
     }
     let scale = cfg.scale;
     let shards = cfg.shards;
     let partition = cfg.partition.to_string();
-    let routing = cfg.routing.to_string();
-    let slab_mode = cfg.slab_mode.to_string();
     let device_name = cfg.device.name.clone();
     let runner = Runner::new(cfg);
     let mut results: Vec<(String, Vec<Measurement>)> = Vec::new();
@@ -207,8 +183,6 @@ fn main() {
             .field("device", device_name)
             .field("shards", shards)
             .field("partition", partition)
-            .field("routing", routing)
-            .field("slab_mode", slab_mode)
             .field(
                 "targets",
                 results.into_iter().fold(Json::obj(), |doc, (target, ms)| {

@@ -9,7 +9,7 @@ use tdts_core::{
 };
 use tdts_data::{MergerConfig, Scenario, ScenarioKind};
 use tdts_geom::{
-    MatchRecord, Mbb, PartitionStrategy, Point3, SegId, Segment, SegmentStore, SlabMode, TrajId,
+    MatchRecord, Mbb, PartitionStrategy, Point3, SegId, Segment, SegmentStore, TrajId,
 };
 use tdts_gpu_sim::{Device, DeviceConfig, Phase, SearchReport};
 use tdts_index_spatial::{FsgConfig, GpuSpatialConfig};
@@ -36,10 +36,6 @@ pub struct RunConfig {
     pub shards: usize,
     /// Slab orientation for sharded runs.
     pub partition: PartitionStrategy,
-    /// Query dispatch policy for sharded runs (slab routing by default).
-    pub routing: RoutingMode,
-    /// Slab edge placement for sharded runs (equal-width by default).
-    pub slab_mode: SlabMode,
 }
 
 impl Default for RunConfig {
@@ -51,8 +47,6 @@ impl Default for RunConfig {
             device: DeviceConfig::tesla_c2075(),
             shards: 1,
             partition: PartitionStrategy::default(),
-            routing: RoutingMode::default(),
-            slab_mode: SlabMode::default(),
         }
     }
 }
@@ -169,14 +163,11 @@ impl Runner {
             .unwrap_or_else(|e| die("engine build", e))
     }
 
-    /// The sharding config for `shards` devices with this run's partition,
-    /// routing, and slab-mode knobs.
+    /// The sharding config for `shards` devices with this run's partition.
     fn shard_config(&self, shards: usize) -> ShardedIndexConfig {
         ShardedIndexConfig::builder()
             .shards(shards)
             .partition(self.cfg.partition)
-            .routing(self.cfg.routing)
-            .slab_mode(self.cfg.slab_mode)
             .build()
             .unwrap_or_else(|e| die("sharding config", e))
     }
@@ -1229,12 +1220,11 @@ impl Runner {
 
     /// Routing ablation: the same sharded searches dispatched broadcast
     /// (every shard sees every query) versus slab-routed (each shard sees
-    /// only the queries whose reach interval touches its slab), on uniform
-    /// and entry-count-balanced slab edges. All variants must return
-    /// results byte-identical to the single-device oracle; the routed
-    /// variants must dispatch strictly fewer shard-queries *and* win on
-    /// simulated response, since the slowest shard now runs a fraction of
-    /// the batch. Temporal slabs route with zero distance slack — a match
+    /// only the queries whose reach interval touches its slab). Both
+    /// variants must return results byte-identical to the single-device
+    /// oracle; the routed variant must dispatch strictly fewer shard-queries
+    /// *and* win on simulated response, since the slowest shard now runs a
+    /// fraction of the batch. Temporal slabs route with zero distance slack — a match
     /// needs a shared time instant, so only the query's own `[t0, t1]`
     /// decides reachability.
     pub fn ablation_routing(&self) -> Vec<Measurement> {
@@ -1264,11 +1254,7 @@ impl Runner {
         ];
         let sweep = p.scenario.query_distances();
         let picks = [sweep[0], sweep[sweep.len() / 2], sweep[sweep.len() - 1]];
-        let variants = [
-            (RoutingMode::Broadcast, SlabMode::Uniform, "broadcast"),
-            (RoutingMode::Slab, SlabMode::Uniform, "slab-uniform"),
-            (RoutingMode::Slab, SlabMode::Balanced, "slab-balanced"),
-        ];
+        let variants = [(RoutingMode::Broadcast, "broadcast"), (RoutingMode::Slab, "slab")];
         println!(
             "\n## Routing ablation — broadcast vs slab dispatch, {} partition (S2 Merger)",
             self.cfg.partition
@@ -1302,12 +1288,11 @@ impl Runner {
                 picks.iter().map(|&d| self.run_index(&oracle, &p.queries, d, cap).0).collect();
             for shards in [4usize, 8] {
                 let mut baseline: Vec<(u64, f64, f64)> = Vec::new();
-                for (vi, &(routing, slab_mode, label)) in variants.iter().enumerate() {
+                for (vi, &(routing, label)) in variants.iter().enumerate() {
                     let config = ShardedIndexConfig::builder()
                         .shards(shards)
                         .partition(self.cfg.partition)
                         .routing(routing)
-                        .slab_mode(slab_mode)
                         .build()
                         .unwrap_or_else(|e| die("routing config", e));
                     eprintln!(

@@ -2,11 +2,10 @@
 //!
 //! [`ShardedIndex`] partitions the entry database with
 //! [`ShardedStore`] (temporal slabs by default,
-//! spatial slabs as an alternative — boundary segments replicated so every
-//! shard is self-sufficient; slab edges equal-width or equal-entry-count
-//! per [`SlabMode`]), builds one inner index per shard on its *own*
-//! simulated device, and dispatches each [`QueryBatch`] per the configured
-//! [`RoutingMode`]:
+//! spatial slabs as an alternative — equal-width slabs, boundary segments
+//! replicated so every shard is self-sufficient), builds one inner index
+//! per shard on its *own* simulated device, and dispatches each
+//! [`QueryBatch`] per the configured [`RoutingMode`]:
 //!
 //! * [`RoutingMode::Broadcast`] sends the whole batch to every shard — the
 //!   original exact-but-wasteful shape, kept as the routing oracle.
@@ -50,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use tdts_geom::{
-    dedup_matches, PartitionStrategy, SegmentStore, ShardPlan, ShardedStore, SlabMode, StoreStats,
+    dedup_matches, PartitionStrategy, SegmentStore, ShardPlan, ShardedStore, StoreStats,
 };
 use tdts_gpu_sim::{Device, DeviceConfig, Phase, RoutingSummary, SearchError, SearchReport};
 
@@ -71,17 +70,6 @@ pub enum RoutingMode {
     Slab,
 }
 
-impl RoutingMode {
-    /// Parse a CLI spelling; `None` for anything unrecognised.
-    pub fn parse(s: &str) -> Option<RoutingMode> {
-        match s {
-            "broadcast" | "all" => Some(RoutingMode::Broadcast),
-            "slab" | "routed" => Some(RoutingMode::Slab),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for RoutingMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -94,19 +82,16 @@ impl fmt::Display for RoutingMode {
 /// How to shard a dataset across simulated devices.
 ///
 /// Construct with [`ShardedIndexConfig::builder`] (the struct is
-/// `#[non_exhaustive]`, so new knobs — like `routing` and `slab_mode`,
-/// which arrived after `shards`/`partition` — never break downstream
-/// construction sites again):
+/// `#[non_exhaustive]`, so a new field never breaks downstream
+/// construction sites):
 ///
 /// ```
-/// use tdts_core::{RoutingMode, ShardedIndexConfig};
-/// use tdts_geom::{PartitionStrategy, SlabMode};
+/// use tdts_core::ShardedIndexConfig;
+/// use tdts_geom::PartitionStrategy;
 ///
 /// let cfg = ShardedIndexConfig::builder()
 ///     .shards(8)
 ///     .partition(PartitionStrategy::Temporal)
-///     .routing(RoutingMode::Slab)
-///     .slab_mode(SlabMode::Balanced)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.shards, 8);
@@ -119,10 +104,9 @@ pub struct ShardedIndexConfig {
     pub shards: usize,
     /// Slab orientation (temporal by default).
     pub partition: PartitionStrategy,
-    /// Query dispatch policy (slab-aware routing by default).
+    /// Query dispatch policy: slab-aware routing by default; broadcast is
+    /// the oracle routed results are tested against.
     pub routing: RoutingMode,
-    /// Slab edge placement (equal-width by default).
-    pub slab_mode: SlabMode,
 }
 
 impl Default for ShardedIndexConfig {
@@ -131,14 +115,13 @@ impl Default for ShardedIndexConfig {
             shards: 1,
             partition: PartitionStrategy::default(),
             routing: RoutingMode::default(),
-            slab_mode: SlabMode::default(),
         }
     }
 }
 
 impl ShardedIndexConfig {
     /// Start a builder seeded with the defaults (1 shard, temporal slabs,
-    /// slab routing, uniform edges).
+    /// slab routing).
     pub fn builder() -> ShardedIndexConfigBuilder {
         ShardedIndexConfigBuilder { cfg: ShardedIndexConfig::default() }
     }
@@ -166,12 +149,6 @@ impl ShardedIndexConfigBuilder {
     /// Query dispatch policy.
     pub fn routing(mut self, routing: RoutingMode) -> Self {
         self.cfg.routing = routing;
-        self
-    }
-
-    /// Slab edge placement.
-    pub fn slab_mode(mut self, slab_mode: SlabMode) -> Self {
-        self.cfg.slab_mode = slab_mode;
         self
     }
 
@@ -214,11 +191,9 @@ struct ShardCounters {
 
 /// A point-in-time view of one shard's configuration and cumulative work.
 ///
-/// Slabs are **not** assumed equal-width: under [`SlabMode::Balanced`] the
-/// plan places edges at entry-count quantiles, so `slab_lo..slab_hi` spans
-/// differ per shard. Everything here is a per-shard absolute (entry counts,
-/// work counters, the slab's own extent) — nothing is derived by dividing a
-/// global extent by the shard count.
+/// Everything here is a per-shard absolute (entry counts, work counters,
+/// the slab's own extent read from the plan's edges) — nothing is derived
+/// by dividing a global extent by the shard count.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[non_exhaustive]
 pub struct ShardStats {
@@ -259,8 +234,8 @@ impl ShardStats {
     /// Work and routing counters sum; the slab geometry (`slab_lo`,
     /// `slab_hi`, `entries`, `replicated`) describes the shard itself and
     /// must agree between the two snapshots — replicas of one shard share
-    /// one plan, whether its slabs are uniform or balanced. The `debug_assert`s
-    /// pin that invariant instead of assuming a constant slab width.
+    /// one plan. The `debug_assert`s pin that invariant instead of assuming
+    /// a constant slab width.
     pub fn absorb(&mut self, other: &ShardStats) {
         debug_assert_eq!(self.shard, other.shard, "absorb requires matching slabs");
         debug_assert!(
@@ -301,7 +276,6 @@ impl std::fmt::Debug for ShardedIndex {
         f.debug_struct("ShardedIndex")
             .field("method", &self.method_name)
             .field("partition", &self.plan.strategy)
-            .field("slab_mode", &self.plan.mode)
             .field("routing", &self.routing)
             .field("shards", &self.members.len())
             .field("requested_shards", &self.requested_shards)
@@ -346,13 +320,7 @@ impl ShardedIndex {
         if config.shards == 0 {
             return Err(TdtsError::InvalidConfig("shard count must be at least 1".into()));
         }
-        let sharded = ShardedStore::partition_with_mode(
-            store,
-            stats,
-            config.shards,
-            config.partition,
-            config.slab_mode,
-        );
+        let sharded = ShardedStore::partition(store, stats, config.shards, config.partition);
         let mut members = Vec::with_capacity(sharded.slices.len());
         for slice in &sharded.slices {
             // One device per shard: a device's response-time ledger is
@@ -400,11 +368,6 @@ impl ShardedIndex {
     /// The partitioning strategy in effect.
     pub fn partition(&self) -> PartitionStrategy {
         self.plan.strategy
-    }
-
-    /// The slab edge placement in effect.
-    pub fn slab_mode(&self) -> SlabMode {
-        self.plan.mode
     }
 
     /// The dispatch policy in effect.
@@ -493,10 +456,10 @@ impl ShardedIndex {
     /// full-capacity escalation retry in [`ShardedIndex::search_sharded`]
     /// covers the pathological tail.
     fn budget_share(capacity: usize, weight: u128, total_weight: u128, probed: usize) -> usize {
-        let floor = (capacity / probed.max(1)).max(1);
         if total_weight == 0 {
-            return capacity.min(floor.max(capacity));
+            return capacity;
         }
+        let floor = (capacity / probed.max(1)).max(1);
         let share =
             ((capacity as u128).saturating_mul(weight.saturating_mul(2)) / total_weight) as usize;
         share.max(floor).min(capacity)
@@ -789,26 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_slabs_search_exactly() {
-        let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
-        let cfg = ShardedIndexConfig::builder()
-            .shards(4)
-            .routing(RoutingMode::Slab)
-            .slab_mode(SlabMode::Balanced)
-            .build()
-            .unwrap();
-        let (dataset, index) = build_with(method, &cfg);
-        assert_eq!(index.slab_mode(), SlabMode::Balanced);
-        let queries = store(15);
-        let batch = QueryBatch { queries: &queries, d: 2.0, result_capacity: 20_000 };
-        let outcome = index.search(&batch).unwrap();
-        assert_eq!(outcome.matches, brute_force_search(dataset.store(), &queries, 2.0));
-        // Non-uniform slab extents surface through ShardStats.
-        let stats = index.shard_stats();
-        assert!(stats.iter().all(|s| s.slab_lo <= s.slab_hi));
-    }
-
-    #[test]
     fn budget_escalation_keeps_routed_search_alive() {
         let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
         let (dataset, index) = build_with(method, &config(4, RoutingMode::Slab));
@@ -864,13 +807,76 @@ mod tests {
     }
 
     #[test]
-    fn routing_mode_parsing_round_trips() {
-        for m in [RoutingMode::Broadcast, RoutingMode::Slab] {
-            assert_eq!(RoutingMode::parse(&m.to_string()), Some(m));
-        }
-        assert_eq!(RoutingMode::parse("routed"), Some(RoutingMode::Slab));
-        assert_eq!(RoutingMode::parse("all"), Some(RoutingMode::Broadcast));
-        assert_eq!(RoutingMode::parse("bogus"), None);
+    fn budget_share_rules() {
+        // Proportional to weight with 2x headroom: 30% of the weight gets
+        // 60% of the capacity.
+        assert_eq!(ShardedIndex::budget_share(1_000, 300, 1_000, 4), 600);
+        // Floored at the even split across probed shards.
+        assert_eq!(ShardedIndex::budget_share(1_000, 1, 1_000, 4), 250);
+        // Capped at the batch capacity.
+        assert_eq!(ShardedIndex::budget_share(1_000, 800, 1_000, 4), 1_000);
+        // No weight to apportion: the full capacity.
+        assert_eq!(ShardedIndex::budget_share(1_000, 0, 0, 4), 1_000);
+    }
+
+    /// A repeating lattice of short segments; at 20,000 entries it no
+    /// longer fits one `test_tiny` device.
+    fn grid_store(n: usize) -> SegmentStore {
+        (0..n)
+            .map(|i| {
+                Segment::new(
+                    Point3::new((i % 13) as f64, (i % 7) as f64, (i % 3) as f64),
+                    Point3::new((i % 13) as f64 + 1.0, (i % 7) as f64 + 1.0, (i % 3) as f64 + 1.0),
+                    (i % 29) as f64 * 0.5,
+                    (i % 29) as f64 * 0.5 + 1.0,
+                    SegId(i as u32),
+                    TrajId(i as u32),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharding_extends_aggregate_memory() {
+        // A database too big for one tiny device fits when sharded.
+        let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
+        let dataset = PreparedDataset::new(grid_store(20_000));
+        let arc = dataset.store_arc();
+        let stats = arc.stats().unwrap();
+        let device = DeviceConfig::test_tiny();
+        let build = |shards| {
+            let cfg = ShardedIndexConfig::builder().shards(shards).build().unwrap();
+            ShardedIndex::build(method, &arc, &stats, &device, &cfg)
+        };
+        assert!(
+            matches!(build(1), Err(TdtsError::Search(SearchError::OutOfDeviceMemory(_)))),
+            "single tiny device must be out of memory"
+        );
+        let four = build(4).unwrap();
+        let queries = grid_store(5);
+        let batch = QueryBatch { queries: &queries, d: 2.0, result_capacity: 8_000 };
+        let outcome = four.search(&batch).unwrap();
+        assert_eq!(outcome.matches, brute_force_search(dataset.store(), &queries, 2.0));
+    }
+
+    #[test]
+    fn more_shards_than_entries() {
+        let method = Method::GpuTemporal(TemporalIndexConfig { bins: 8 });
+        let dataset = PreparedDataset::new(grid_store(3));
+        let arc = dataset.store_arc();
+        let stats = arc.stats().unwrap();
+        let cfg = ShardedIndexConfig::builder().shards(10).build().unwrap();
+        let index =
+            ShardedIndex::build(method, &arc, &stats, &DeviceConfig::test_tiny(), &cfg).unwrap();
+        // Boundary replication can populate more slabs than there are
+        // entries, but an empty slab never gets a device.
+        assert!(index.shards() <= 10);
+        assert!(index.shard_stats().iter().all(|s| s.entries > 0));
+        assert_eq!(index.requested_shards(), 10);
+        let queries = grid_store(3);
+        let batch = QueryBatch { queries: &queries, d: 5.0, result_capacity: 10_000 };
+        let outcome = index.search(&batch).unwrap();
+        assert_eq!(outcome.matches, brute_force_search(dataset.store(), &queries, 5.0));
     }
 
     #[test]

@@ -334,9 +334,9 @@ impl SegmentStore {
     ///
     /// Computed on first call per generation and cached: every index built
     /// on the same store generation shares one O(n) scan. A stale tag (any
-    /// mutation since the scan) forces a recompute, so callers — balanced
-    /// slab-edge placement, routing reach intervals — never see extents
-    /// from a previous generation.
+    /// mutation since the scan) forces a recompute, so callers — slab-edge
+    /// placement, routing reach intervals — never see extents from a
+    /// previous generation.
     pub fn stats(&self) -> Option<StoreStats> {
         let mut cache = self.cache.lock().expect("store cache poisoned");
         if let Some(entry) = cache.stats {

@@ -1,8 +1,8 @@
 //! Service configuration.
 
 use std::time::Duration;
-use tdts_core::{Method, RoutingMode, TdtsError};
-use tdts_geom::{PartitionStrategy, SlabMode};
+use tdts_core::{Method, TdtsError};
+use tdts_geom::PartitionStrategy;
 use tdts_gpu_sim::{DeviceConfig, KernelShape};
 
 /// Parameters of a [`QueryService`](crate::QueryService).
@@ -45,18 +45,12 @@ pub struct ServiceConfig {
     /// `shards > 1` every worker's primary engine becomes a
     /// [`ShardedIndex`](tdts_core::ShardedIndex): the store is split into
     /// slabs (boundary segments replicated), each slab is pinned to its own
-    /// device, and batches fan out to every shard concurrently. The
-    /// fallback path stays unsharded — a deliberately simple degraded mode.
+    /// device, and each query is routed to the shards its reach interval
+    /// touches. The fallback path stays unsharded — a deliberately simple
+    /// degraded mode.
     pub shards: usize,
     /// Slab orientation for the sharded primary (temporal by default).
     pub partition: PartitionStrategy,
-    /// Query dispatch policy for the sharded primary: slab-aware routing
-    /// (the default) probes only the shards each query's reach interval
-    /// touches; broadcast probes all of them. Ignored with `shards == 1`.
-    pub routing: RoutingMode,
-    /// Slab edge placement for the sharded primary (equal-width by
-    /// default; `Balanced` equalises per-shard entry counts).
-    pub slab_mode: SlabMode,
     /// Sliding time-window retention, enabling streaming mode. With
     /// `Some(w)`, [`advance_window`](crate::QueryService::advance_window)
     /// ingests new segments into every worker's engines and (every
@@ -89,8 +83,6 @@ impl ServiceConfig {
                 max_consecutive_failures: 3,
                 shards: 1,
                 partition: PartitionStrategy::default(),
-                routing: RoutingMode::default(),
-                slab_mode: SlabMode::default(),
                 window: None,
                 advance_every: 1,
             },
@@ -223,18 +215,6 @@ impl ServiceConfigBuilder {
     /// Slab orientation for the sharded primary.
     pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
         self.config.partition = strategy;
-        self
-    }
-
-    /// Query dispatch policy for the sharded primary.
-    pub fn routing(mut self, routing: RoutingMode) -> Self {
-        self.config.routing = routing;
-        self
-    }
-
-    /// Slab edge placement for the sharded primary.
-    pub fn slab_mode(mut self, mode: SlabMode) -> Self {
-        self.config.slab_mode = mode;
         self
     }
 

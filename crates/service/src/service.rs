@@ -210,8 +210,6 @@ impl QueryService {
                     &ShardedIndexConfig::builder()
                         .shards(config.shards)
                         .partition(config.partition)
-                        .routing(config.routing)
-                        .slab_mode(config.slab_mode)
                         .build()?,
                 )?);
                 shard_engines.push(Arc::clone(&sharded));

@@ -1,6 +1,7 @@
 //! Multi-GPU cluster partitioning (§III): shard the database across
-//! simulated GPU nodes, broadcast the queries, and watch the aggregate
-//! memory and the response time scale with the node count.
+//! simulated GPU devices in temporal slabs, route each query to the shards
+//! it can reach, and watch the aggregate memory and the response time
+//! scale with the device count.
 //!
 //! ```sh
 //! cargo run --release --example cluster_scaling
@@ -16,38 +17,33 @@ fn main() {
 
     let dataset = PreparedDataset::new(store);
     let d = 2.0;
+    let method = Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
+        bins: 200,
+        subbins: 4,
+        sort_by_selector: true,
+    });
     let mut reference: Option<Vec<MatchRecord>> = None;
 
-    println!("\n{:>6} {:>14} {:>16} {:>14}", "nodes", "matches", "response (s)", "slowest node");
-    for nodes in [1usize, 2, 4, 8] {
-        let cluster = ClusterSearch::build(
-            &dataset,
-            ClusterConfig {
-                nodes,
-                method: Method::GpuSpatioTemporal(SpatioTemporalIndexConfig {
-                    bins: 200,
-                    subbins: 4,
-                    sort_by_selector: true,
-                }),
-                device: DeviceConfig::tesla_c2075(),
-            },
-        )
-        .expect("cluster build");
-        let (matches, report) = cluster.search(&queries, d, 2_000_000).expect("search");
+    println!("\n{:>8} {:>14} {:>16} {:>14}", "devices", "matches", "response (s)", "shards probed");
+    for devices in [1usize, 2, 4, 8] {
+        let config = ShardedIndexConfig::builder().shards(devices).build().expect("shard config");
+        let engine =
+            SearchEngine::build_sharded(&dataset, method, &DeviceConfig::tesla_c2075(), &config)
+                .expect("sharded build");
+        let (matches, report) = engine.search(&queries, d, 2_000_000).expect("search");
         match &reference {
             None => reference = Some(matches.clone()),
             Some(r) => assert_eq!(&matches, r, "sharding must not change results"),
         }
-        let slowest = report.nodes.iter().map(|n| n.response_seconds()).fold(0.0f64, f64::max);
         println!(
-            "{:>6} {:>14} {:>16.6} {:>14.6}",
-            nodes,
+            "{:>8} {:>14} {:>16.6} {:>14}",
+            devices,
             matches.len(),
-            report.response_seconds,
-            slowest
+            report.response_seconds(),
+            report.routing.shards_probed
         );
     }
-    println!("\n(results are identical for every node count; temporal sharding");
-    println!(" splits each query's candidate range across nodes, so the slowest");
-    println!(" node's share shrinks as nodes are added)");
+    println!("\n(results are identical for every device count; temporal sharding");
+    println!(" splits each query's candidate range across devices, and the merged");
+    println!(" response is the slowest probed device's plus the host merge)");
 }

@@ -52,10 +52,6 @@ fn usage() -> ! {
          \u{20}                                    is partitioned across (default 1)\n\
          \u{20}  --partition <temporal|spatial-grid>\n\
          \u{20}                                    slab orientation for sharded runs\n\
-         \u{20}  --routing <slab|broadcast>        sharded query dispatch: slab routing\n\
-         \u{20}                                    (default) probes only reachable shards\n\
-         \u{20}  --slab-mode <uniform|balanced>    slab edges: equal-width (default) or\n\
-         \u{20}                                    equal-entry-count (histogram quantiles)\n\
          \u{20}  --clients <n>                     concurrent replay clients (default 16)\n\
          \u{20}  --request-size <n>                query segments per client request\n\
          \u{20}                                    (default 0 = one whole trajectory)\n\
@@ -98,8 +94,6 @@ struct Opts {
     sanitizer: SanitizerMode,
     shards: usize,
     partition: PartitionStrategy,
-    routing: RoutingMode,
-    slab_mode: SlabMode,
     clients: usize,
     request_size: usize,
     requests: usize,
@@ -134,8 +128,6 @@ fn parse() -> Opts {
         sanitizer: SanitizerMode::from_env().unwrap_or(SanitizerMode::Off),
         shards: 1,
         partition: PartitionStrategy::default(),
-        routing: RoutingMode::default(),
-        slab_mode: SlabMode::default(),
         clients: 16,
         request_size: 0,
         requests: 0,
@@ -181,12 +173,6 @@ fn parse() -> Opts {
             }
             "--partition" => {
                 o.partition = PartitionStrategy::parse(&val(&mut args)).unwrap_or_else(|| usage())
-            }
-            "--routing" => {
-                o.routing = RoutingMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
-            }
-            "--slab-mode" => {
-                o.slab_mode = SlabMode::parse(&val(&mut args)).unwrap_or_else(|| usage())
             }
             "--clients" => o.clients = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--request-size" => o.request_size = val(&mut args).parse().unwrap_or_else(|_| usage()),
@@ -399,8 +385,6 @@ fn main() {
                     &ShardedIndexConfig::builder()
                         .shards(o.shards)
                         .partition(o.partition)
-                        .routing(o.routing)
-                        .slab_mode(o.slab_mode)
                         .build()
                         .unwrap_or_else(|e| fail(e)),
                 )
@@ -411,10 +395,7 @@ fn main() {
             let (matches, report) = engine.search(&queries, o.d, cap).unwrap_or_else(|e| fail(e));
             println!("method:       {}", engine.method().name());
             if o.shards > 1 {
-                println!(
-                    "shards:       {} ({} partition, {} slabs, {} routing)",
-                    o.shards, o.partition, o.slab_mode, o.routing
-                );
+                println!("shards:       {} ({} partition)", o.shards, o.partition);
                 let r = &report.routing;
                 println!(
                     "routing:      {} shard-queries dispatched, {} skipped; \
@@ -760,8 +741,6 @@ fn run_service(
         .workers(o.workers)
         .shards(o.shards)
         .partition(o.partition)
-        .routing(o.routing)
-        .slab_mode(o.slab_mode)
         .max_batch(o.max_batch)
         .max_delay(Duration::from_secs_f64(o.max_delay_ms / 1e3))
         .queue_capacity(o.queue_capacity)

@@ -30,12 +30,7 @@ fn assert_byte_identical(got: &[MatchRecord], expect: &[MatchRecord], label: &st
     }
 }
 
-fn sharded(
-    dataset: &PreparedDataset,
-    shards: usize,
-    routing: RoutingMode,
-    slab_mode: SlabMode,
-) -> SearchEngine {
+fn sharded(dataset: &PreparedDataset, shards: usize, routing: RoutingMode) -> SearchEngine {
     SearchEngine::build_sharded(
         dataset,
         Method::GpuTemporal(TemporalIndexConfig { bins: 40 }),
@@ -44,7 +39,6 @@ fn sharded(
             .shards(shards)
             .partition(PartitionStrategy::Temporal)
             .routing(routing)
-            .slab_mode(slab_mode)
             .build()
             .unwrap(),
     )
@@ -74,7 +68,7 @@ fn narrow_extent_queries_cut_dispatch_at_least_2x() {
         let (oracle, _) = oracle_engine.search(&queries, d, 2_000_000).unwrap();
         assert!(!oracle.is_empty(), "d={d}: scenario must produce matches to mean anything");
 
-        let broadcast = sharded(&dataset, shards, RoutingMode::Broadcast, SlabMode::Uniform);
+        let broadcast = sharded(&dataset, shards, RoutingMode::Broadcast);
         let (b_matches, b_report) = broadcast.search(&queries, d, 2_000_000).unwrap();
         assert_byte_identical(&b_matches, &oracle, &format!("broadcast d={d}"));
         assert_eq!(
@@ -83,24 +77,22 @@ fn narrow_extent_queries_cut_dispatch_at_least_2x() {
             "broadcast dispatches every query to every shard"
         );
 
-        for slab_mode in [SlabMode::Uniform, SlabMode::Balanced] {
-            let routed = sharded(&dataset, shards, RoutingMode::Slab, slab_mode);
-            let (r_matches, r_report) = routed.search(&queries, d, 2_000_000).unwrap();
-            assert_byte_identical(&r_matches, &oracle, &format!("routed {slab_mode} d={d}"));
-            // Routed + skipped always accounts for the full cross product.
-            assert_eq!(
-                r_report.routing.shard_queries_routed + r_report.routing.shard_queries_skipped,
-                (queries.len() * shards) as u64,
-                "{slab_mode} d={d}: dispatch accounting"
-            );
-            assert!(
-                r_report.routing.shard_queries_routed * 2 <= b_report.routing.shard_queries_routed,
-                "{slab_mode} d={d}: routed {} shard-queries, less than half of broadcast's {} \
-                 expected on narrow-extent queries",
-                r_report.routing.shard_queries_routed,
-                b_report.routing.shard_queries_routed
-            );
-        }
+        let routed = sharded(&dataset, shards, RoutingMode::Slab);
+        let (r_matches, r_report) = routed.search(&queries, d, 2_000_000).unwrap();
+        assert_byte_identical(&r_matches, &oracle, &format!("routed d={d}"));
+        // Routed + skipped always accounts for the full cross product.
+        assert_eq!(
+            r_report.routing.shard_queries_routed + r_report.routing.shard_queries_skipped,
+            (queries.len() * shards) as u64,
+            "d={d}: dispatch accounting"
+        );
+        assert!(
+            r_report.routing.shard_queries_routed * 2 <= b_report.routing.shard_queries_routed,
+            "d={d}: routed {} shard-queries, less than half of broadcast's {} \
+             expected on narrow-extent queries",
+            r_report.routing.shard_queries_routed,
+            b_report.routing.shard_queries_routed
+        );
     }
 }
 
@@ -123,7 +115,7 @@ fn zero_reach_batch_skips_every_shard() {
         ));
     }
     let dataset = PreparedDataset::new(store);
-    let engine = sharded(&dataset, 4, RoutingMode::Slab, SlabMode::Uniform);
+    let engine = sharded(&dataset, 4, RoutingMode::Slab);
     let (matches, report) = engine.search(&queries, 5.0, 100_000).unwrap();
     assert!(matches.is_empty(), "out-of-extent queries cannot match");
     assert_eq!(report.routing.shards_probed, 0, "no shard should be probed");
@@ -151,9 +143,9 @@ fn whole_span_queries_probe_every_shard() {
     }
     let dataset = PreparedDataset::new(store);
     let shards = 4;
-    let routed = sharded(&dataset, shards, RoutingMode::Slab, SlabMode::Uniform);
+    let routed = sharded(&dataset, shards, RoutingMode::Slab);
     let (r_matches, r_report) = routed.search(&queries, 6.0, 1_000_000).unwrap();
-    let broadcast = sharded(&dataset, shards, RoutingMode::Broadcast, SlabMode::Uniform);
+    let broadcast = sharded(&dataset, shards, RoutingMode::Broadcast);
     let (b_matches, _) = broadcast.search(&queries, 6.0, 1_000_000).unwrap();
     assert_byte_identical(&r_matches, &b_matches, "whole-span");
     assert_eq!(r_report.routing.shard_queries_skipped, 0);
@@ -195,8 +187,8 @@ fn arb_store(max_trajs: usize, max_segs_per: usize) -> impl Strategy<Value = Seg
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For any database, query set, shard count, partition strategy, slab
-    /// mode, and threshold, slab routing returns exactly broadcast's
+    /// For any database, query set, shard count, partition strategy, and
+    /// threshold, slab routing returns exactly broadcast's
     /// records — and never dispatches more shard-queries than broadcast.
     #[test]
     fn routed_is_byte_identical_to_broadcast(
@@ -204,7 +196,6 @@ proptest! {
         queries in arb_store(3, 4),
         shards in 1usize..=8,
         strategy_sel in 0usize..2,
-        slab_sel in 0usize..2,
         d in 0.1f64..25.0,
     ) {
         let strategy = if strategy_sel == 0 {
@@ -212,7 +203,6 @@ proptest! {
         } else {
             PartitionStrategy::SpatialGrid
         };
-        let slab_mode = if slab_sel == 0 { SlabMode::Uniform } else { SlabMode::Balanced };
         let dataset = PreparedDataset::new(store);
         let build = |routing: RoutingMode| {
             SearchEngine::build_sharded(
@@ -223,7 +213,6 @@ proptest! {
                     .shards(shards)
                     .partition(strategy)
                     .routing(routing)
-                    .slab_mode(slab_mode)
                     .build()
                     .unwrap(),
             )
@@ -238,7 +227,7 @@ proptest! {
         assert_byte_identical(
             &r_matches,
             &b_matches,
-            &format!("proptest {strategy} {slab_mode} shards={shards} d={d}"),
+            &format!("proptest {strategy} shards={shards} d={d}"),
         );
         prop_assert!(
             r_report.routing.shard_queries_routed <= b_report.routing.shard_queries_routed

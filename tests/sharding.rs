@@ -72,17 +72,16 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
                     method.name()
                 );
                 for strategy in [PartitionStrategy::Temporal, PartitionStrategy::SpatialGrid] {
-                    // Shard counts crossed with dispatch policy and slab
-                    // edge placement: broadcast and slab routing must both
-                    // reproduce the oracle, on uniform and balanced edges.
+                    // Shard counts crossed with dispatch policy: broadcast
+                    // and slab routing must both reproduce the oracle.
                     let shapes = [
-                        (1usize, RoutingMode::Slab, SlabMode::Uniform),
-                        (2, RoutingMode::Slab, SlabMode::Uniform),
-                        (4, RoutingMode::Broadcast, SlabMode::Uniform),
-                        (4, RoutingMode::Slab, SlabMode::Uniform),
-                        (8, RoutingMode::Slab, SlabMode::Balanced),
+                        (1usize, RoutingMode::Slab),
+                        (2, RoutingMode::Slab),
+                        (4, RoutingMode::Broadcast),
+                        (4, RoutingMode::Slab),
+                        (8, RoutingMode::Slab),
                     ];
-                    for (shards, routing, slab_mode) in shapes {
+                    for (shards, routing) in shapes {
                         let engine = SearchEngine::build_sharded(
                             &dataset,
                             method,
@@ -91,7 +90,6 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
                                 .shards(shards)
                                 .partition(strategy)
                                 .routing(routing)
-                                .slab_mode(slab_mode)
                                 .build()
                                 .unwrap(),
                         )
@@ -102,7 +100,7 @@ fn check_scenario(store: SegmentStore, queries: SegmentStore, distances: &[f64],
                             &oracle,
                             &format!(
                                 "{label}/{} {shape:?} {strategy} shards={shards} \
-                                 {routing} {slab_mode} d={d}",
+                                 {routing} d={d}",
                                 method.name()
                             ),
                         );
@@ -248,7 +246,6 @@ proptest! {
         shards in 1usize..=8,
         strategy_sel in 0usize..2,
         routing_sel in 0usize..2,
-        slab_sel in 0usize..2,
         d in 0.5f64..25.0,
     ) {
         let strategy = if strategy_sel == 0 {
@@ -257,7 +254,6 @@ proptest! {
             PartitionStrategy::SpatialGrid
         };
         let routing = if routing_sel == 0 { RoutingMode::Broadcast } else { RoutingMode::Slab };
-        let slab_mode = if slab_sel == 0 { SlabMode::Uniform } else { SlabMode::Balanced };
         let dataset = PreparedDataset::new(store);
         let expect = brute_force_search(dataset.store(), &queries, d);
         let engine = SearchEngine::build_sharded(
@@ -268,7 +264,6 @@ proptest! {
                 .shards(shards)
                 .partition(strategy)
                 .routing(routing)
-                .slab_mode(slab_mode)
                 .build()
                 .unwrap(),
         )
@@ -277,7 +272,7 @@ proptest! {
         assert_byte_identical(
             &got,
             &expect,
-            &format!("proptest {strategy} {routing} {slab_mode} shards={shards} d={d}"),
+            &format!("proptest {strategy} {routing} shards={shards} d={d}"),
         );
     }
 }
